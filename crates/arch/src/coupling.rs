@@ -7,15 +7,12 @@
 //! the adjacency lists and geometric embedding, and on first distance
 //! query builds the full `n × n` BFS distance matrix together with a
 //! *next-hop* table (`next[a][b]` = the neighbour of `a` that is first
-//! on a shortest `a → b` path). Table construction is parallelized
-//! over BFS sources with rayon; afterwards every distance and next-hop
-//! lookup is O(1) and every shortest path walks the table without
-//! re-running a search — which is what lets the lookahead router score
+//! on a shortest `a → b` path), one BFS per source. Afterwards every
+//! distance and next-hop lookup is O(1) and every shortest path walks
+//! the table without re-running a search — which is what lets the lookahead router score
 //! thousands of candidate swaps per gate without allocating.
 
 use std::sync::{Arc, OnceLock};
-
-use rayon::prelude::*;
 
 use crate::topology::PhysId;
 
@@ -122,22 +119,18 @@ impl CouplingGraph {
         self.adj[a.index()].binary_search(&b).is_ok()
     }
 
-    /// Builds (once) both all-pairs tables: one BFS per source, in
-    /// parallel over sources. `next[s*n + v]` is the first hop of a
-    /// shortest `s → v` path — the shortest path whose hops BFS in
-    /// ascending-neighbour order discovers first, so routing is
-    /// deterministic.
+    /// Builds (once) both all-pairs tables: one BFS per source.
+    /// `next[s*n + v]` is the first hop of a shortest `s → v` path —
+    /// the shortest path whose hops BFS in ascending-neighbour order
+    /// discovers first, so routing is deterministic.
     fn tables(&self) -> (&[u32], &[u32]) {
         let dist = self.dist.get_or_init(|| {
             let n = self.len();
-            let sources: Vec<usize> = (0..n).collect();
-            let rows: Vec<(Vec<u32>, Vec<u32>)> =
-                sources.into_par_iter().map(|s| self.bfs_row(s)).collect();
-            let mut dist = Vec::with_capacity(n * n);
-            let mut next = Vec::with_capacity(n * n);
-            for (d, h) in rows {
-                dist.extend_from_slice(&d);
-                next.extend_from_slice(&h);
+            let mut dist = vec![u32::MAX; n * n];
+            let mut next = vec![NO_HOP; n * n];
+            let mut queue = std::collections::VecDeque::with_capacity(n);
+            for (s, (d, h)) in dist.chunks_mut(n).zip(next.chunks_mut(n)).enumerate() {
+                self.bfs_row(s, d, h, &mut queue);
             }
             // Publish the next-hop half through its own cell; both
             // halves come from the same build so they stay consistent.
@@ -158,12 +151,16 @@ impl CouplingGraph {
         }
     }
 
-    /// One BFS row: distances and first hops from source `s`.
-    fn bfs_row(&self, s: usize) -> (Vec<u32>, Vec<u32>) {
-        let n = self.len();
-        let mut dist = vec![u32::MAX; n];
-        let mut next = vec![NO_HOP; n];
-        let mut queue = std::collections::VecDeque::with_capacity(n);
+    /// One BFS row: fills `dist` (preset to `u32::MAX`) and `next`
+    /// (preset to [`NO_HOP`]) with distances and first hops from
+    /// source `s`. `queue` is reusable scratch, empty on return.
+    fn bfs_row(
+        &self,
+        s: usize,
+        dist: &mut [u32],
+        next: &mut [u32],
+        queue: &mut std::collections::VecDeque<usize>,
+    ) {
         dist[s] = 0;
         queue.push_back(s);
         while let Some(u) = queue.pop_front() {
@@ -179,7 +176,6 @@ impl CouplingGraph {
                 queue.push_back(v);
             }
         }
-        (dist, next)
     }
 
     /// Hop-count distance (`u32::MAX` between disconnected qubits —

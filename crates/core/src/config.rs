@@ -262,9 +262,8 @@ pub struct CompilerConfig {
     /// simulation; memory-heavy on large programs).
     pub record_schedule: bool,
     /// Swap-chain routing engine options (strategy, lookahead window
-    /// depth, parallel-planning threshold). Braiding never consults
-    /// it; the compiler normalizes the recorded selection to greedy on
-    /// FT targets.
+    /// depth). Braiding never consults it; the compiler normalizes the
+    /// recorded selection to greedy on FT targets.
     pub router: RouterConfig,
     /// LAA score weights.
     pub laa: LaaWeights,

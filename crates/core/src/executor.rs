@@ -83,8 +83,7 @@ impl PreparedProgram {
         let pstats = ProgramStats::analyze(&lowered);
         // Per-module cost terms (custom-uncompute totals, block suffix
         // sums) memoized up front — the per-frame hot path never
-        // re-walks statement lists. Modules are mutually independent,
-        // so the table is built in parallel.
+        // re-walks statement lists.
         let costs = ModuleCostTable::build(&lowered, &pstats);
         let capacity_hint = pstats.module(lowered.entry()).ancilla_transitive as usize;
         Ok(PreparedProgram {
@@ -179,7 +178,6 @@ pub fn compile_prepared_on(
         decision_log: Vec::new(),
         mbu_stats: MbuStats::default(),
         lookahead: false,
-        layer_scratch: Vec::new(),
         budget: config.budget.map(BudgetState::new),
         stack_need: if config.budget.is_some() {
             crate::budget::stack_need(lowered)
@@ -281,9 +279,6 @@ struct Exec<'p> {
     /// (gates the per-gate window construction off the hot path
     /// otherwise).
     lookahead: bool,
-    /// Reused buffer for batching runs of consecutive gate statements
-    /// into one [`Machine::apply_layer`] call.
-    layer_scratch: Vec<Gate<VirtId>>,
     /// Early-uncompute engine, present only under `budget:N` — every
     /// budget hook is behind this `Option`, keeping unbudgeted
     /// compiles bit-identical to their pre-budget behavior.
@@ -311,29 +306,6 @@ impl Exec<'_> {
         let c = ClbitId(self.next_clbit);
         self.next_clbit += 1;
         c
-    }
-
-    /// Routes and schedules a batched run of consecutive gates through
-    /// [`Machine::apply_layer`] (which plans wide layers' swap chains
-    /// in parallel, bit-identically to serial routing), then performs
-    /// the same per-gate bookkeeping as [`Exec::emit`]: the layer's
-    /// relocations are drained once — they accumulate in machine
-    /// order, and no `Alloc`/`Free` can interleave within a gate run —
-    /// and the gates are appended to the virtual trace. Drains `gates`.
-    fn emit_gate_layer(&mut self, gates: &mut Vec<Gate<VirtId>>) -> Result<(), CompileError> {
-        self.machine.apply_layer(gates)?;
-        self.gates_emitted += gates.len() as u64;
-        for (from, to) in self.machine.drain_relocations() {
-            self.heap.relocate(from, to);
-        }
-        for g in gates.drain(..) {
-            if let Some(b) = &mut self.budget {
-                let pos = self.trace.len();
-                crate::budget::for_each_write(&g, |w| b.note_write(w, pos));
-            }
-            self.trace.push(TraceOp::Gate(g));
-        }
-        Ok(())
     }
 
     /// Applies one trace op to the machine and appends it to the
@@ -726,29 +698,13 @@ impl Exec<'_> {
     }
 
     /// Replays a mechanically inverted slice onto the machine, with
-    /// the same layer batching and lookahead-window handling as
-    /// [`Exec::run_block`]. Shared by frame sweeps and budget-driven
-    /// early uncomputes. Leaves `scratch`'s contents in place (the
-    /// caller returns the buffer to `inverse_scratch` for reuse).
+    /// the same lookahead-window handling as [`Exec::run_block`].
+    /// Shared by frame sweeps and budget-driven early uncomputes.
+    /// Leaves `scratch`'s contents in place (the caller returns the
+    /// buffer to `inverse_scratch` for reuse).
     fn replay_ops(&mut self, scratch: &mut [TraceOp]) -> Result<(), CompileError> {
-        let mut j = 0;
-        while j < scratch.len() {
-            // Same layer batching as run_block: uncompute replays are
-            // gate-dense, so whole inverse slices usually route as a
-            // single layer.
-            if !self.lookahead && matches!(&scratch[j], TraceOp::Gate(_)) {
-                let mut layer = std::mem::take(&mut self.layer_scratch);
-                layer.clear();
-                while let Some(TraceOp::Gate(g)) = scratch.get(j) {
-                    layer.push(g.clone());
-                    j += 1;
-                }
-                let routed = self.emit_gate_layer(&mut layer);
-                self.layer_scratch = layer;
-                routed?;
-                continue;
-            }
-            if self.lookahead && matches!(&scratch[j], TraceOp::Gate(g) if g.arity() >= 2) {
+        for (j, op) in scratch.iter().enumerate() {
+            if self.lookahead && matches!(op, TraceOp::Gate(g) if g.arity() >= 2) {
                 let depth = self.config.router.lookahead_window;
                 let window = self.machine.lookahead_mut();
                 window.clear();
@@ -763,8 +719,7 @@ impl Exec<'_> {
                     }
                 }
             }
-            self.emit(scratch[j].clone(), &[])?;
-            j += 1;
+            self.emit(op.clone(), &[])?;
         }
         Ok(())
     }
@@ -793,31 +748,7 @@ impl Exec<'_> {
                 .custom_uncompute()
                 .expect("caller checked the block exists"),
         };
-        let resolve = |op: &Operand| -> VirtId {
-            match op {
-                Operand::Param(i) => args[*i],
-                Operand::Ancilla(i) => anc[*i],
-            }
-        };
-        let mut i = 0;
-        while i < stmts.len() {
-            // Without a lookahead window to refill per gate, a maximal
-            // run of consecutive gate statements routes as one layer —
-            // the batched path that lets wide layers plan their swap
-            // chains in parallel.
-            if !self.lookahead && matches!(&stmts[i], Stmt::Gate(_)) {
-                let mut layer = std::mem::take(&mut self.layer_scratch);
-                layer.clear();
-                while let Some(Stmt::Gate(g)) = stmts.get(i) {
-                    layer.push(g.map(resolve));
-                    i += 1;
-                }
-                let routed = self.emit_gate_layer(&mut layer);
-                self.layer_scratch = layer;
-                routed?;
-                continue;
-            }
-            let stmt = &stmts[i];
+        for (i, stmt) in stmts.iter().enumerate() {
             // O(1) memoized look-ahead: gates left in this block after
             // the current statement.
             let rest = match block {
@@ -831,7 +762,6 @@ impl Exec<'_> {
                 self.fill_window(&stmts[i + 1..], args, anc);
             }
             self.exec_stmt(stmt, id, args, anc, clbits, depth, rest, frame_g_p)?;
-            i += 1;
         }
         Ok(())
     }

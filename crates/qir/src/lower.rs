@@ -16,8 +16,6 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use crate::gate::Gate;
 use crate::module::{Module, ModuleId, Operand, Program, Stmt};
 
@@ -29,12 +27,10 @@ use crate::module::{Module, ModuleId, Operand, Program, Stmt};
 /// count) and appended after the existing modules, so existing
 /// [`ModuleId`]s stay valid.
 ///
-/// Lowering runs in two phases: a cheap sequential discovery scan
-/// assigns [`ModuleId`]s to the needed `__mcx{k}` modules in
-/// first-encounter order (identical to the historical single-pass
-/// numbering), then every module body is rewritten in parallel against
-/// the now-read-only id map — module bodies are independent, so the
-/// result is deterministic regardless of core count.
+/// Lowering runs in two phases: a discovery scan assigns
+/// [`ModuleId`]s to the needed `__mcx{k}` modules in first-encounter
+/// order (identical to the historical single-pass numbering), then
+/// every module body is rewritten against the now-fixed id map.
 pub fn lower_mcx(program: &Program) -> Program {
     // Phase 1: discovery. Walk statements in program order and give
     // each required chain width its module id, preserving the
@@ -59,10 +55,10 @@ pub fn lower_mcx(program: &Program) -> Program {
     if !any_mcx {
         return program.clone();
     }
-    // Phase 2: rewrite. Each module body only reads the shared id map.
+    // Phase 2: rewrite every module body against the id map.
     let mut modules: Vec<Module> = program
         .modules()
-        .par_iter()
+        .iter()
         .map(|module| {
             let mut m = module.clone();
             m.compute = lower_block(m.compute, &generated);

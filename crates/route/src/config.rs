@@ -17,26 +17,16 @@ pub struct RouterConfig {
     /// Upcoming-gate hint window depth the executor feeds a
     /// lookahead router (ignored by greedy).
     pub lookahead_window: usize,
-    /// Minimum number of multi-qubit gates in one operand-disjoint
-    /// wave of a gate batch before the greedy engine plans their swap
-    /// chains in parallel (`usize::MAX` forces fully serial routing).
-    /// Batches are partitioned into waves first, so dependent gate
-    /// chains never pay fork-join overhead regardless of batch size.
-    pub parallel_min_layer: usize,
 }
 
 /// Default depth of the lookahead hint window.
 pub const DEFAULT_LOOKAHEAD_WINDOW: usize = 16;
-
-/// Default minimum wave width for parallel swap planning.
-pub const DEFAULT_PARALLEL_MIN_LAYER: usize = 16;
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             kind: RouterKind::Greedy,
             lookahead_window: DEFAULT_LOOKAHEAD_WINDOW,
-            parallel_min_layer: DEFAULT_PARALLEL_MIN_LAYER,
         }
     }
 }
@@ -61,18 +51,6 @@ impl RouterConfig {
         self.lookahead_window = window;
         self
     }
-
-    /// Sets the parallel-planning threshold.
-    pub fn with_parallel_min_layer(mut self, layer: usize) -> Self {
-        self.parallel_min_layer = layer;
-        self
-    }
-
-    /// Disables parallel swap planning entirely.
-    pub fn serial(mut self) -> Self {
-        self.parallel_min_layer = usize::MAX;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -84,14 +62,10 @@ mod tests {
         let d = RouterConfig::default();
         assert_eq!(d.kind, RouterKind::Greedy);
         assert_eq!(d.lookahead_window, DEFAULT_LOOKAHEAD_WINDOW);
-        assert_eq!(d.parallel_min_layer, DEFAULT_PARALLEL_MIN_LAYER);
         let c: RouterConfig = RouterKind::Lookahead.into();
         assert_eq!(c.kind, RouterKind::Lookahead);
         assert_eq!(c.lookahead_window, d.lookahead_window);
-        let c = RouterConfig::new(RouterKind::Greedy)
-            .with_lookahead_window(4)
-            .with_parallel_min_layer(8);
-        assert_eq!((c.lookahead_window, c.parallel_min_layer), (4, 8));
-        assert_eq!(c.serial().parallel_min_layer, usize::MAX);
+        let c = RouterConfig::new(RouterKind::Greedy).with_lookahead_window(4);
+        assert_eq!(c.lookahead_window, 4);
     }
 }

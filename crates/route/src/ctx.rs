@@ -5,7 +5,7 @@
 //! [`RouterScratch`] owned by the machine and lent to the router for
 //! the duration of one `route()` call, bundled with the machine and
 //! the lookahead window into a [`RoutingCtx`]. Scratch buffers (decay
-//! table, BFS arrays, planned swap chains) are reused across gates, so
+//! table, BFS arrays, path buffers) are reused across gates, so
 //! the steady-state hot path performs no allocation at all.
 
 use square_arch::{PhysId, Topology};
@@ -28,10 +28,6 @@ pub struct RouterScratch {
     pub(crate) bfs: BfsScratch,
     /// Path / swap-chain cell buffer.
     pub(crate) chain: Vec<PhysId>,
-    /// Planned swaps for the greedy plan-then-apply path.
-    pub(crate) swaps: Vec<(PhysId, PhysId)>,
-    /// Tracked operand positions while planning.
-    pub(crate) tracked: Vec<(VirtId, PhysId)>,
 }
 
 /// Everything a stateless router needs to route one gate: the machine

@@ -19,15 +19,10 @@
 //! Routing strategy lives behind the stateless [`Router`] trait; the
 //! machine lends each `route()` call a [`RoutingCtx`](crate::RoutingCtx)
 //! carrying its scratch arenas, so the hot path allocates nothing.
-//! Wide front layers of independent gates can be routed in parallel
-//! with [`Machine::apply_layer`], which plans greedy swap chains on a
-//! snapshot across threads and merges them deterministically.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use square_arch::{CommModel, FlatTables, PhysId, Topology};
 use square_qir::{ClbitId, Gate, VirtId};
@@ -37,7 +32,7 @@ use crate::config::RouterConfig;
 use crate::ctx::{RouterScratch, RoutingCtx};
 use crate::error::RouteError;
 use crate::placement::Placement;
-use crate::router::{self, RouterKind};
+use crate::router::RouterKind;
 use crate::schedule::{gate_duration, ScheduledGate};
 use crate::sink::ScheduleSink;
 use crate::timeline::Clock;
@@ -579,96 +574,6 @@ impl Machine {
         result
     }
 
-    /// Applies a *front layer* of program gates, in order. Under the
-    /// greedy swap-chain router, layers at least
-    /// [`RouterConfig::parallel_min_layer`] multi-qubit gates wide
-    /// have their swap chains planned in parallel (rayon) from a
-    /// placement snapshot, then merged deterministically: each plan is
-    /// replayed in program order if its operands still sit where the
-    /// snapshot saw them, and re-planned serially otherwise — so the
-    /// schedule is bit-identical to gate-at-a-time routing.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::UnplacedQubit`] if an operand has no placement.
-    pub fn apply_layer(&mut self, gates: &[Gate<VirtId>]) -> Result<(), RouteError> {
-        let threshold = self.config.parallel_min_layer;
-        let eligible = self.comm == CommModel::SwapChains
-            && self.config.kind == RouterKind::Greedy
-            && threshold != usize::MAX
-            && gates.iter().filter(|g| g.arity() >= 2).count() >= threshold;
-        if !eligible {
-            for gate in gates {
-                self.apply(gate)?;
-            }
-            return Ok(());
-        }
-        // Partition the batch into contiguous *waves* of
-        // operand-disjoint gates. Gates that share a qubit are routed
-        // one after another anyway (the second plan would be stale the
-        // moment the first one moves the shared operand), so planning
-        // them on one snapshot wastes the fork-join; only genuinely
-        // independent runs are worth threads. Dependent arithmetic
-        // chains therefore degenerate to the serial path with nothing
-        // but this O(batch) partition as overhead.
-        let mut seen: Vec<VirtId> = Vec::new();
-        let mut start = 0;
-        while start < gates.len() {
-            seen.clear();
-            let mut end = start;
-            let mut wide = 0usize;
-            'grow: while end < gates.len() {
-                let gate = &gates[end];
-                let mut overlaps = false;
-                gate.for_each_qubit(|q| overlaps |= seen.contains(q));
-                if overlaps {
-                    break 'grow;
-                }
-                gate.for_each_qubit(|q| seen.push(*q));
-                wide += usize::from(gate.arity() >= 2);
-                end += 1;
-            }
-            let wave = &gates[start..end];
-            if wide >= threshold {
-                self.apply_wave(wave)?;
-            } else {
-                for gate in wave {
-                    self.apply(gate)?;
-                }
-            }
-            start = end;
-        }
-        Ok(())
-    }
-
-    /// Routes one operand-disjoint wave: greedy plans are computed on
-    /// a placement snapshot across threads, then merged in order.
-    fn apply_wave(&mut self, wave: &[Gate<VirtId>]) -> Result<(), RouteError> {
-        let snapshot: &Machine = self;
-        let plans: Vec<_> = wave
-            .par_iter()
-            .map(|gate| router::plan_layer_gate(snapshot, gate))
-            .collect();
-        for (gate, plan) in wave.iter().zip(plans) {
-            match plan {
-                Some(plan) if plan.still_valid(self) => {
-                    for &(u, v) in &plan.swaps {
-                        self.swap_cells(u, v);
-                    }
-                    self.bump_gather(plan.retries, plan.failed);
-                    self.schedule_program_gate(gate)?;
-                }
-                // Stale plan (an earlier chain in the wave crossed an
-                // operand), unplanned gate (1-qubit), or a planning
-                // error: fall back to the serial path.
-                _ => {
-                    self.apply(gate)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn phys_operands(&self, gate: &Gate<VirtId>) -> Result<Vec<PhysId>, RouteError> {
         let mut out = Vec::with_capacity(gate.arity());
         let mut missing = None;
@@ -1128,58 +1033,5 @@ mod tests {
         // Slot 0 is free but used; slot 1 is fresh.
         assert_eq!(m.nearest_free((0, 0), false), Some(PhysId(0)));
         assert_eq!(m.nearest_free((0, 0), true), Some(PhysId(1)));
-    }
-
-    /// The parallel layer path must be bit-identical to gate-at-a-time
-    /// routing: same swaps, depth, liveness, history, and schedule.
-    #[test]
-    fn parallel_layer_routing_matches_serial() {
-        let gates: Vec<Gate<VirtId>> = (0..12u32)
-            .map(|i| Gate::Cx {
-                control: VirtId(i),
-                target: VirtId((i + 7) % 16),
-            })
-            .chain([
-                Gate::Ccx {
-                    c0: VirtId(0),
-                    c1: VirtId(15),
-                    target: VirtId(8),
-                },
-                Gate::X { target: VirtId(3) },
-                Gate::Cx {
-                    control: VirtId(3),
-                    target: VirtId(0),
-                },
-            ])
-            .collect();
-        let build = |parallel_min: usize| {
-            let mut m = Machine::new(
-                Box::new(GridTopology::new(8, 8)),
-                MachineConfig::nisq()
-                    .with_router(
-                        RouterConfig::new(RouterKind::Greedy).with_parallel_min_layer(parallel_min),
-                    )
-                    .with_schedule(),
-            );
-            for i in 0..16u32 {
-                // Spread operands so routing has real work.
-                m.place_at(VirtId(i), PhysId(i * 4)).unwrap();
-            }
-            m
-        };
-        let mut serial = build(usize::MAX);
-        for g in &gates {
-            serial.apply(g).unwrap();
-        }
-        let mut layered = build(1);
-        layered.apply_layer(&gates).unwrap();
-        let (a, b) = (serial.finish(), layered.finish());
-        assert_eq!(a.stats, b.stats);
-        assert!(a.stats.swaps > 0, "scenario must actually route");
-        assert_eq!(a.depth, b.depth);
-        assert_eq!(a.segments, b.segments);
-        assert_eq!(a.final_placement, b.final_placement);
-        assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.placement_history, b.placement_history);
     }
 }

@@ -12,11 +12,7 @@
 //!   kept *bit-compatible* with the historical inlined code (same
 //!   shortest-path walks, same bounded-BFS operand gathering, same
 //!   swap order) — the correctness anchor every regression suite pins
-//!   against. Greedy decisions depend only on operand positions and
-//!   the topology, so the router first *plans* the swap chain against
-//!   tracked positions, then applies it — the same planner
-//!   ([`plan_layer_gate`]) lets [`Machine::apply_layer`] route wide
-//!   front layers on worker threads from a placement snapshot.
+//!   against.
 //! * [`LookaheadRouter`]: a SABRE-style scorer (Li, Ding & Xie,
 //!   ASPLOS 2019). Each candidate swap on an edge incident to the
 //!   current gate's operands is scored against the *front* (the gate
@@ -130,93 +126,39 @@ pub trait Router: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Greedy planning (position-pure: no machine mutation)
+// GreedyRouter
 // ---------------------------------------------------------------------------
-//
-// Every greedy decision is a pure function of the gate's operand
-// positions and the topology — never of occupancy or the clock. The
-// planner exploits that: it walks *tracked* operand positions and
-// records the swap chain, and the caller replays the chain through
-// `swap_cells`. Serially this is bit-identical to the historical
-// mutate-as-you-go code; it also makes plans computable on worker
-// threads from an immutable machine snapshot (`plan_layer_gate`).
 
-/// Tracked position of `v` (operands are distinct, so first match).
-#[inline]
-fn tpos(tracked: &[(VirtId, PhysId)], v: VirtId) -> PhysId {
-    tracked
-        .iter()
-        .find(|&&(tv, _)| tv == v)
-        .map(|&(_, p)| p)
-        .expect("operand resolved")
+/// Position of an operand the router already checked is placed.
+fn pos(m: &Machine, v: VirtId) -> PhysId {
+    m.placement().phys_of(v).expect("operand placed")
 }
 
-/// Mirrors a `swap_cells(u, v)` on the tracked positions.
-#[inline]
-fn tswap(tracked: &mut [(VirtId, PhysId)], u: PhysId, v: PhysId) {
-    for (_, p) in tracked.iter_mut() {
-        if *p == u {
-            *p = v;
-        } else if *p == v {
-            *p = u;
-        }
-    }
-}
-
-/// Resolves a gate's operands to `(virt, phys)` pairs, in the order
-/// the historical router read them (so single-unplaced-operand errors
-/// name the same qubit): `Ccx`/`Mcx` read the target first.
-fn resolve_operands(
-    m: &Machine,
-    gate: &Gate<VirtId>,
-    out: &mut Vec<(VirtId, PhysId)>,
-) -> Result<(), RouteError> {
-    out.clear();
-    let mut push = |v: VirtId| -> Result<(), RouteError> {
-        let p = m
-            .placement()
-            .phys_of(v)
-            .ok_or(RouteError::UnplacedQubit { virt: v })?;
-        out.push((v, p));
-        Ok(())
+/// Fails on the first unplaced operand, in the order the historical
+/// router read them (so the error names the same qubit): `Ccx`/`Mcx`
+/// read the target first.
+fn check_placed(m: &Machine, gate: &Gate<VirtId>) -> Result<(), RouteError> {
+    let placed = |v: &VirtId| match m.placement().phys_of(*v) {
+        Some(_) => Ok(()),
+        None => Err(RouteError::UnplacedQubit { virt: *v }),
     };
     match gate {
-        Gate::X { target } => push(*target),
-        Gate::Cx { control, target } => {
-            push(*control)?;
-            push(*target)
-        }
-        Gate::Swap { a, b } => {
-            push(*a)?;
-            push(*b)
-        }
-        Gate::Ccx { c0, c1, target } => {
-            push(*target)?;
-            push(*c0)?;
-            push(*c1)
-        }
+        Gate::X { target } => placed(target),
+        Gate::Cx { control, target } => [control, target].into_iter().try_for_each(placed),
+        Gate::Swap { a, b } => [a, b].into_iter().try_for_each(placed),
+        Gate::Ccx { c0, c1, target } => [target, c0, c1].into_iter().try_for_each(placed),
         Gate::Mcx { controls, target } => {
-            push(*target)?;
-            for c in controls {
-                push(*c)?;
-            }
-            Ok(())
+            std::iter::once(target).chain(controls).try_for_each(placed)
         }
     }
 }
 
-/// Plans the historical greedy chain walk: `mover` hops along a
-/// shortest path until coupled to `anchor` (the last hop — onto the
-/// anchor's own cell — is never taken).
-fn plan_chain(
-    m: &Machine,
-    tracked: &mut [(VirtId, PhysId)],
-    swaps: &mut Vec<(PhysId, PhysId)>,
-    mover: VirtId,
-    anchor: VirtId,
-) {
-    let mut pm = tpos(tracked, mover);
-    let pa = tpos(tracked, anchor);
+/// The historical greedy chain walk: `mover` hops along a shortest
+/// path until coupled to `anchor` (the last hop — onto the anchor's
+/// own cell — is never taken).
+fn chain(m: &mut Machine, mover: VirtId, anchor: VirtId) {
+    let mut pm = pos(m, mover);
+    let pa = pos(m, anchor);
     if pm == pa || m.coupled(pm, pa) {
         return;
     }
@@ -225,43 +167,36 @@ fn plan_chain(
         if hop == pa {
             break;
         }
-        swaps.push((pm, hop));
-        tswap(tracked, pm, hop);
+        m.swap_cells(pm, hop);
         pm = hop;
     }
 }
 
-/// Plans the historical Toffoli gather: bring both controls adjacent
-/// to the target, trying not to displace already-gathered operands.
-/// Returns `(retries, gave_up)` for the caller's statistics.
-// Two scratch arenas and three operands are the function's whole job;
-// bundling them into a struct would only rename the argument list.
-#[allow(clippy::too_many_arguments)]
-fn plan_gather(
-    m: &Machine,
-    tracked: &mut [(VirtId, PhysId)],
-    swaps: &mut Vec<(PhysId, PhysId)>,
+/// The historical Toffoli gather: bring both controls adjacent to the
+/// target, trying not to displace already-gathered operands. Records
+/// retries and a give-up in the machine's statistics.
+fn gather(
+    m: &mut Machine,
     bfs: &mut BfsScratch,
     path: &mut Vec<PhysId>,
     c0: VirtId,
     c1: VirtId,
     t: VirtId,
-) -> (u64, bool) {
+) {
     let mut retries = 0u64;
     for attempt in 0..4 {
-        let pt = tpos(tracked, t);
-        let p0 = tpos(tracked, c0);
-        let p1 = tpos(tracked, c1);
+        let (pt, p0, p1) = (pos(m, t), pos(m, c0), pos(m, c1));
         let ok0 = m.coupled(p0, pt);
         let ok1 = m.coupled(p1, pt);
         if ok0 && ok1 {
-            return (retries, false);
+            m.bump_gather(retries, false);
+            return;
         }
         if attempt > 0 {
             retries += 1;
         }
         if !ok0 {
-            plan_chain(m, tracked, swaps, c0, t);
+            chain(m, c0, t);
             continue;
         }
         // c0 is in place; bring c1 next to t without crossing c0/t.
@@ -274,125 +209,22 @@ fn plan_gather(
             path,
         );
         if found {
-            for i in 0..path.len().saturating_sub(1) {
-                let (a, b) = (path[i], path[i + 1]);
-                swaps.push((a, b));
-                tswap(tracked, a, b);
+            for hop in path.windows(2) {
+                m.swap_cells(hop[0], hop[1]);
             }
         } else {
             // No avoiding route (e.g. a line topology cut); route
             // plainly and let the next attempt repair c0.
-            plan_chain(m, tracked, swaps, c1, t);
+            chain(m, c1, t);
         }
     }
-    (retries, true)
+    m.bump_gather(retries, true);
 }
-
-/// Plans the full greedy treatment of one gate. Dispatch mirrors the
-/// historical `route_gate` exactly.
-fn plan_greedy(
-    m: &Machine,
-    gate: &Gate<VirtId>,
-    tracked: &mut [(VirtId, PhysId)],
-    swaps: &mut Vec<(PhysId, PhysId)>,
-    bfs: &mut BfsScratch,
-    path: &mut Vec<PhysId>,
-) -> (u64, bool) {
-    match gate {
-        Gate::X { .. } => (0, false),
-        Gate::Cx { control, target } => {
-            plan_chain(m, tracked, swaps, *control, *target);
-            (0, false)
-        }
-        Gate::Swap { a, b } => {
-            plan_chain(m, tracked, swaps, *a, *b);
-            (0, false)
-        }
-        Gate::Ccx { c0, c1, target } => {
-            plan_gather(m, tracked, swaps, bfs, path, *c0, *c1, *target)
-        }
-        Gate::Mcx { controls, target } => {
-            // Lowered programs never reach here with ≥ 3 controls;
-            // handle small cases for completeness.
-            match controls.len() {
-                0 => (0, false),
-                1 => {
-                    plan_chain(m, tracked, swaps, controls[0], *target);
-                    (0, false)
-                }
-                _ => {
-                    let (retries, failed) = plan_gather(
-                        m,
-                        tracked,
-                        swaps,
-                        bfs,
-                        path,
-                        controls[0],
-                        controls[1],
-                        *target,
-                    );
-                    for c in &controls[2..] {
-                        plan_chain(m, tracked, swaps, *c, *target);
-                    }
-                    (retries, failed)
-                }
-            }
-        }
-    }
-}
-
-/// A greedy swap chain planned off-thread for one layer gate, plus
-/// the operand positions it assumed. [`Machine::apply_layer`] replays
-/// it only if [`LayerPlan::still_valid`] — an earlier gate in the
-/// layer may have moved an operand, in which case the gate re-routes
-/// serially and the result stays bit-identical either way.
-pub(crate) struct LayerPlan {
-    /// Operand positions the plan was computed against.
-    ops: Vec<(VirtId, PhysId)>,
-    pub(crate) swaps: Vec<(PhysId, PhysId)>,
-    pub(crate) retries: u64,
-    pub(crate) failed: bool,
-}
-
-impl LayerPlan {
-    /// True if every assumed operand position still holds.
-    pub(crate) fn still_valid(&self, m: &Machine) -> bool {
-        self.ops
-            .iter()
-            .all(|&(v, p)| m.placement().phys_of(v) == Some(p))
-    }
-}
-
-/// Plans the greedy swap chain for one gate of a front layer against
-/// an immutable machine snapshot. `None` for gates with nothing to
-/// route (arity < 2) or an unplaced operand (the serial path will
-/// surface the error in order).
-pub(crate) fn plan_layer_gate(m: &Machine, gate: &Gate<VirtId>) -> Option<LayerPlan> {
-    if gate.arity() < 2 {
-        return None;
-    }
-    let mut tracked = Vec::new();
-    resolve_operands(m, gate, &mut tracked).ok()?;
-    let ops = tracked.clone();
-    let mut swaps = Vec::new();
-    let mut bfs = BfsScratch::default();
-    let mut path = Vec::new();
-    let (retries, failed) = plan_greedy(m, gate, &mut tracked, &mut swaps, &mut bfs, &mut path);
-    Some(LayerPlan {
-        ops,
-        swaps,
-        retries,
-        failed,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// GreedyRouter
-// ---------------------------------------------------------------------------
 
 /// The original per-gate shortest-path router. Stateless; swap
 /// sequences are bit-identical to the pre-trait inlined code on every
-/// topology.
+/// topology. Every greedy decision is a pure function of the operands'
+/// positions and the topology — never of occupancy or the clock.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct GreedyRouter;
 
@@ -406,24 +238,29 @@ impl Router for GreedyRouter {
             return Ok(());
         }
         let m = &mut *ctx.machine;
-        let s = &mut *ctx.scratch;
-        resolve_operands(m, gate, &mut s.tracked)?;
-        s.swaps.clear();
-        let (retries, failed) = {
-            let RouterScratch {
-                tracked,
-                swaps,
-                bfs,
-                chain,
-                ..
-            } = &mut *s;
-            plan_greedy(m, gate, tracked, swaps, bfs, chain)
-        };
-        for i in 0..s.swaps.len() {
-            let (u, v) = s.swaps[i];
-            m.swap_cells(u, v);
+        check_placed(m, gate)?;
+        let RouterScratch {
+            bfs, chain: path, ..
+        } = &mut *ctx.scratch;
+        // Dispatch mirrors the historical `route_gate` exactly.
+        match gate {
+            Gate::X { .. } => {}
+            Gate::Cx { control, target } => chain(m, *control, *target),
+            Gate::Swap { a, b } => chain(m, *a, *b),
+            Gate::Ccx { c0, c1, target } => gather(m, bfs, path, *c0, *c1, *target),
+            // Lowered programs never reach here with ≥ 3 controls;
+            // handle small cases for completeness.
+            Gate::Mcx { controls, target } => match controls.len() {
+                0 => {}
+                1 => chain(m, controls[0], *target),
+                _ => {
+                    gather(m, bfs, path, controls[0], controls[1], *target);
+                    for c in &controls[2..] {
+                        chain(m, *c, *target);
+                    }
+                }
+            },
         }
-        m.bump_gather(retries, failed);
         Ok(())
     }
 }
@@ -902,34 +739,5 @@ mod tests {
         .unwrap();
         assert_eq!(m.stats().swaps, 3);
         assert_eq!(m.placement().phys_of(VirtId(0)), Some(PhysId(3)));
-    }
-
-    #[test]
-    fn layer_plans_replay_and_invalidate() {
-        let m = machine(Box::new(GridTopology::new(5, 1)), RouterKind::Greedy);
-        let gate = Gate::Cx {
-            control: VirtId(0),
-            target: VirtId(1),
-        };
-        // Unplaced operands: planning declines, serial path errors.
-        assert!(plan_layer_gate(&m, &gate).is_none());
-        let mut m = machine(Box::new(GridTopology::new(5, 1)), RouterKind::Greedy);
-        m.place_at(VirtId(0), PhysId(0)).unwrap();
-        m.place_at(VirtId(1), PhysId(4)).unwrap();
-        assert!(plan_layer_gate(&m, &Gate::X { target: VirtId(0) }).is_none());
-        let plan = plan_layer_gate(&m, &gate).expect("plannable");
-        assert_eq!(
-            plan.swaps,
-            vec![
-                (PhysId(0), PhysId(1)),
-                (PhysId(1), PhysId(2)),
-                (PhysId(2), PhysId(3))
-            ]
-        );
-        assert!(plan.still_valid(&m));
-        assert!(!plan.failed);
-        // An interfering move invalidates the plan.
-        m.swap_cells(PhysId(0), PhysId(1));
-        assert!(!plan.still_valid(&m));
     }
 }

@@ -234,6 +234,12 @@ pub enum ErrorKind {
     /// structured `detail` object: `requested`, `capacity`, `live`,
     /// `policy`, `budget`, `module` and `min_feasible`.
     OutOfQubits,
+    /// The request line was longer than the server accepts; the
+    /// server closes the session after this response.
+    RequestTooLarge,
+    /// The compile panicked. Never cached: the next identical request
+    /// compiles from scratch.
+    Internal,
 }
 
 impl ErrorKind {
@@ -244,6 +250,8 @@ impl ErrorKind {
             ErrorKind::BadRequest => "bad_request",
             ErrorKind::CompileFailed => "compile_failed",
             ErrorKind::OutOfQubits => "out_of_qubits",
+            ErrorKind::RequestTooLarge => "request_too_large",
+            ErrorKind::Internal => "internal",
         }
     }
 }
@@ -322,14 +330,15 @@ impl Response {
 
     /// Wraps a [`ServiceError`] with the matching [`ErrorKind`] —
     /// out-of-qubits failures keep their typed kind plus the
-    /// structured `detail` object, everything else degrades to
-    /// `compile_failed` with a message.
+    /// structured `detail` object, a panicked compile is `internal`,
+    /// everything else degrades to `compile_failed` with a message.
     pub fn service_error(id: &Value, error: &ServiceError) -> Response {
         let (kind, detail) = match error {
             ServiceError::OutOfQubits(e) => {
                 (ErrorKind::OutOfQubits, Some(square_bench::error_json(e)))
             }
             ServiceError::Parse(_) | ServiceError::Compile(_) => (ErrorKind::CompileFailed, None),
+            ServiceError::Internal(_) => (ErrorKind::Internal, None),
         };
         Response::Error {
             id: id.clone(),

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use serde::{Serialize, Value};
@@ -104,6 +104,11 @@ pub enum ServiceError {
     /// can surface the offending module, the live/capacity split and
     /// the minimum feasible budget as typed fields.
     OutOfQubits(Box<square_core::CompileError>),
+    /// The compile panicked. Reported to the leader (by the server's
+    /// worker pool, which catches the unwind) and to every coalesced
+    /// follower; like every error it is never cached, so the next
+    /// identical request compiles from scratch.
+    Internal(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -112,6 +117,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Parse(msg) => write!(f, "parse error: {msg}"),
             ServiceError::Compile(msg) => write!(f, "compile error: {msg}"),
             ServiceError::OutOfQubits(e) => write!(f, "compile error: {e}"),
+            ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -209,6 +215,43 @@ struct Inflight {
     cv: Condvar,
 }
 
+/// The leader's side of a flight. Dropping it publishes `result` to
+/// the followers and unregisters the flight — also when the leader
+/// unwinds out of a panicking compile with `result` still unset, in
+/// which case the followers get [`ServiceError::Internal`]. Without
+/// this, a panic would leave the entry in the table and every
+/// follower, present and future, waiting on the condvar forever.
+struct Leader<'a> {
+    service: &'a CompileService,
+    key: &'a CellKey,
+    flight: &'a Inflight,
+    result: Option<CellResult>,
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        let result = self
+            .result
+            .take()
+            .unwrap_or_else(|| Err(ServiceError::Internal("the compile panicked".to_string())));
+        // Runs during unwinding too, so a poisoned lock must not
+        // panic again (that would abort the process). Publish before
+        // unregistering, so a follower that grabbed the flight entry
+        // just before removal still wakes with a result.
+        *self
+            .flight
+            .done
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(result);
+        self.flight.cv.notify_all();
+        self.service
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
+    }
+}
+
 /// The concurrent compile service: shared caches + in-flight dedupe
 /// around the square-core compile pipeline. Cheap to share as
 /// `Arc<CompileService>`; every method takes `&self`.
@@ -223,7 +266,14 @@ pub struct CompileService {
     coalesced: AtomicU64,
     cer_totals: Mutex<CerCacheStats>,
     recompute_totals: Mutex<RecomputeStats>,
+    /// Test-only fault injection, called by the leader mid-compile
+    /// (after the prefix stages, before the executor).
+    #[cfg(test)]
+    fault: Option<FaultHook>,
 }
+
+#[cfg(test)]
+type FaultHook = Box<dyn Fn(&CompileService) + Send + Sync>;
 
 impl CompileService {
     /// Creates a service with the given cache capacities.
@@ -239,7 +289,20 @@ impl CompileService {
             coalesced: AtomicU64::new(0),
             cer_totals: Mutex::new(CerCacheStats::default()),
             recompute_totals: Mutex::new(RecomputeStats::default()),
+            #[cfg(test)]
+            fault: None,
         }
+    }
+
+    /// Installs a hook every leader calls mid-compile (tests inject
+    /// panics through it).
+    #[cfg(test)]
+    pub(crate) fn with_fault_hook(
+        mut self,
+        hook: impl Fn(&CompileService) + Send + Sync + 'static,
+    ) -> Self {
+        self.fault = Some(Box::new(hook));
+        self
     }
 
     /// Compiles one request, going through the caches:
@@ -255,7 +318,14 @@ impl CompileService {
     ///
     /// [`ServiceError::Parse`] with rendered diagnostics when the
     /// source does not parse; [`ServiceError::Compile`] when the
-    /// compiler rejects the program. Errors are not cached.
+    /// compiler rejects the program; [`ServiceError::Internal`] for a
+    /// follower whose leader panicked. Errors are not cached.
+    ///
+    /// # Panics
+    ///
+    /// A panicking compile unwinds out of the leader's call (after its
+    /// followers have been answered); the server's worker pool turns
+    /// that into [`ServiceError::Internal`].
     pub fn compile_source(&self, req: &CompileRequest) -> Result<CompileOutcome, ServiceError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         // The compiler never runs the swap-chain router on braided
@@ -319,6 +389,12 @@ impl CompileService {
             };
         }
 
+        let mut leader = Leader {
+            service: self,
+            key: &key,
+            flight: &flight,
+            result: None,
+        };
         let result = self.compile_cell(req, &key);
         if let Ok((report, compile_ms)) = &result {
             self.compiles.fetch_add(1, Ordering::Relaxed);
@@ -327,11 +403,8 @@ impl CompileService {
                 .unwrap()
                 .insert(key.clone(), (Arc::clone(report), *compile_ms));
         }
-        // Publish before unregistering so a follower that grabbed the
-        // flight entry just before removal still wakes with a result.
-        *flight.done.lock().unwrap() = Some(result.clone());
-        flight.cv.notify_all();
-        self.inflight.lock().unwrap().remove(&key);
+        leader.result = Some(result.clone());
+        drop(leader);
 
         result.map(|(report, compile_ms)| CompileOutcome {
             report,
@@ -413,6 +486,11 @@ impl CompileService {
                 built
             }
         };
+
+        #[cfg(test)]
+        if let Some(hook) = &self.fault {
+            hook(self);
+        }
 
         let report = compile_prepared_on(&prepared, &[], &config, topo).map_err(|e| match e {
             e @ square_core::CompileError::OutOfQubits { .. } => {
