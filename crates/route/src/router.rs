@@ -10,9 +10,9 @@
 //!
 //! * [`GreedyRouter`]: the original per-gate shortest-path swapper,
 //!   kept *bit-compatible* with the historical inlined code (same
-//!   shortest-path walks, same bounded-BFS operand gathering, same
-//!   swap order) — the correctness anchor every regression suite pins
-//!   against.
+//!   shortest-path walks, same swap order, and Toffoli gathering along
+//!   exactly the path the historical 4096-visit avoid-BFS found) — the
+//!   correctness anchor every regression suite pins against.
 //! * [`LookaheadRouter`]: a SABRE-style scorer (Li, Ding & Xie,
 //!   ASPLOS 2019). Each candidate swap on an edge incident to the
 //!   current gate's operands is scored against the *front* (the gate
@@ -23,6 +23,11 @@
 //!   acceleration tables and are carried *incrementally*: the winning
 //!   candidate's post-swap distance becomes the next iteration's
 //!   baseline, halving the distance queries per swap.
+//!
+//! Both routers bring a Toffoli's second control next to the target
+//! through one search, `BfsScratch::gather_path`: the shortest path
+//! to a free neighbour of the target that avoids the target and the
+//! first control.
 //!
 //! Routers only *move* qubits (via [`Machine::swap_cells`]); gate
 //! scheduling, statistics, and liveness stay in the machine. Braided
@@ -175,14 +180,7 @@ fn chain(m: &mut Machine, mover: VirtId, anchor: VirtId) {
 /// The historical Toffoli gather: bring both controls adjacent to the
 /// target, trying not to displace already-gathered operands. Records
 /// retries and a give-up in the machine's statistics.
-fn gather(
-    m: &mut Machine,
-    bfs: &mut BfsScratch,
-    path: &mut Vec<PhysId>,
-    c0: VirtId,
-    c1: VirtId,
-    t: VirtId,
-) {
+fn gather(m: &mut Machine, bfs: &mut BfsScratch, c0: VirtId, c1: VirtId, t: VirtId) {
     let mut retries = 0u64;
     for attempt in 0..4 {
         let (pt, p0, p1) = (pos(m, t), pos(m, c0), pos(m, c1));
@@ -200,15 +198,7 @@ fn gather(
             continue;
         }
         // c0 is in place; bring c1 next to t without crossing c0/t.
-        let found = bfs.bfs_to(
-            m.topo(),
-            p1,
-            &mut |cell| m.coupled(cell, pt) && cell != p0,
-            &[pt, p0],
-            4096,
-            path,
-        );
-        if found {
+        if let Some(path) = bfs.gather_path(m, p1, pt, p0) {
             for hop in path.windows(2) {
                 m.swap_cells(hop[0], hop[1]);
             }
@@ -239,22 +229,20 @@ impl Router for GreedyRouter {
         }
         let m = &mut *ctx.machine;
         check_placed(m, gate)?;
-        let RouterScratch {
-            bfs, chain: path, ..
-        } = &mut *ctx.scratch;
+        let bfs = &mut ctx.scratch.bfs;
         // Dispatch mirrors the historical `route_gate` exactly.
         match gate {
             Gate::X { .. } => {}
             Gate::Cx { control, target } => chain(m, *control, *target),
             Gate::Swap { a, b } => chain(m, *a, *b),
-            Gate::Ccx { c0, c1, target } => gather(m, bfs, path, *c0, *c1, *target),
+            Gate::Ccx { c0, c1, target } => gather(m, bfs, *c0, *c1, *target),
             // Lowered programs never reach here with ≥ 3 controls;
             // handle small cases for completeness.
             Gate::Mcx { controls, target } => match controls.len() {
                 0 => {}
                 1 => chain(m, controls[0], *target),
                 _ => {
-                    gather(m, bfs, path, controls[0], controls[1], *target);
+                    gather(m, bfs, controls[0], controls[1], *target);
                     for c in &controls[2..] {
                         chain(m, *c, *target);
                     }
@@ -561,7 +549,7 @@ fn la_gather(
         // walk terminates. Detouring *around* a blocked cell hop by
         // hop loses badly on low-degree fabrics (it circles hexagon
         // faces), so the moment the path runs into t/c0 we hand the
-        // remainder to the greedy bounded BFS instead.
+        // remainder to the greedy router's gather search instead.
         let mut cur = p1;
         while cur != goal {
             let hop = m.hop(cur, goal).expect("connected fabric");
@@ -572,22 +560,9 @@ fn la_gather(
             cur = hop;
         }
         if cur != goal {
-            let found = {
-                let RouterScratch { bfs, chain, .. } = &mut *s;
-                let mm: &Machine = m;
-                bfs.bfs_to(
-                    mm.topo(),
-                    cur,
-                    &mut |cell| mm.coupled(cell, pt) && cell != p0,
-                    &[pt, p0],
-                    4096,
-                    chain,
-                )
-            };
-            if found {
-                for i in 0..s.chain.len().saturating_sub(1) {
-                    let (x, y) = (s.chain[i], s.chain[i + 1]);
-                    m.swap_cells(x, y);
+            if let Some(path) = s.bfs.gather_path(m, cur, pt, p0) {
+                for hop in path.windows(2) {
+                    m.swap_cells(hop[0], hop[1]);
                 }
             } else {
                 route_adjacent_live(m, c1, t)?;

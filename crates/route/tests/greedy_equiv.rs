@@ -8,7 +8,7 @@
 //! and final placements must agree **exactly**, on all five topology
 //! families.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -17,6 +17,10 @@ use square_arch::{
 };
 use square_qir::{Gate, VirtId};
 use square_route::{Machine, MachineConfig};
+
+#[path = "support/bfs_avoiding.rs"]
+mod bfs_avoiding;
+use bfs_avoiding::bfs_avoiding;
 
 /// The historical greedy router, reimplemented from the paper's
 /// description with none of the flat-state machinery: placement in
@@ -90,51 +94,6 @@ impl<'t> HistoricalGreedy<'t> {
         }
     }
 
-    /// Historical avoid-BFS: shortest path from `from` to any cell
-    /// coupled to `pt` other than `p0`, never crossing `pt` or `p0`,
-    /// goal-tested at discovery, 4096-visit budget.
-    fn bfs_avoiding(&self, from: PhysId, pt: PhysId, p0: PhysId) -> Option<Vec<PhysId>> {
-        let goal = |c: PhysId| self.coupled(c, pt) && c != p0;
-        if goal(from) {
-            return Some(vec![from]);
-        }
-        let n = self.topo.qubit_count();
-        let mut prev: Vec<Option<PhysId>> = vec![None; n];
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
-        prev[from.index()] = Some(from);
-        let mut visits = 0usize;
-        while let Some(cur) = queue.pop_front() {
-            visits += 1;
-            if visits > 4096 {
-                return None;
-            }
-            let mut found = None;
-            self.topo.for_each_neighbor(cur, &mut |nb| {
-                if found.is_some() || prev[nb.index()].is_some() || nb == pt || nb == p0 {
-                    return;
-                }
-                prev[nb.index()] = Some(cur);
-                if goal(nb) {
-                    found = Some(nb);
-                    return;
-                }
-                queue.push_back(nb);
-            });
-            if let Some(nb) = found {
-                let mut path = vec![nb];
-                let mut c = nb;
-                while c != from {
-                    c = prev[c.index()].expect("walked cells have parents");
-                    path.push(c);
-                }
-                path.reverse();
-                return Some(path);
-            }
-        }
-        None
-    }
-
     /// Historical Toffoli gather: up to four repair attempts bringing
     /// both controls adjacent to the target.
     fn gather(&mut self, c0: VirtId, c1: VirtId, t: VirtId) {
@@ -154,7 +113,7 @@ impl<'t> HistoricalGreedy<'t> {
                 self.chain(c0, t);
                 continue;
             }
-            match self.bfs_avoiding(p1, pt, p0) {
+            match bfs_avoiding(self.topo, p1, pt, p0) {
                 Some(path) => {
                     for w in path.windows(2) {
                         self.swap(w[0], w[1]);
@@ -188,15 +147,19 @@ impl<'t> HistoricalGreedy<'t> {
 }
 
 /// One topology per family, small enough for fast cases but large
-/// enough that chains, gathers and avoid-BFS all fire.
+/// enough that chains, gathers and avoid-BFS all fire, plus a larger
+/// grid and line where gathers run long enough for the goal-directed
+/// search to deepen past its first bound.
 fn fabrics() -> Vec<(&'static str, Box<dyn Topology>)> {
     vec![
         (
             "grid",
             Box::new(GridTopology::new(4, 3)) as Box<dyn Topology>,
         ),
+        ("grid20", Box::new(GridTopology::new(20, 20))),
         ("full", Box::new(FullTopology::new(10))),
         ("line", Box::new(LineTopology::new(10))),
+        ("line64", Box::new(LineTopology::new(64))),
         ("heavyhex", Box::new(HeavyHexTopology::new(3))),
         ("ring", Box::new(RingTopology::new(10))),
     ]

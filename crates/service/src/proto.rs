@@ -426,6 +426,8 @@ impl Response {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -587,5 +589,130 @@ mod tests {
             err.get("error_kind").and_then(Value::as_str),
             Some("compile_failed")
         );
+    }
+
+    /// Field names and values the parser branches on, so random
+    /// requests reach past the JSON layer into the field checks.
+    const KEYS: [&str; 9] = [
+        "v", "id", "cmd", "source", "policy", "arch", "router", "budget", "mbu",
+    ];
+    const WORDS: [&str; 24] = [
+        "ping",
+        "stats",
+        "shutdown",
+        "square",
+        "eager",
+        "lazy",
+        "square,budget:0",
+        "budget:18446744073709551615",
+        "square,budget:-1",
+        "nisq",
+        "ft",
+        "grid:0x0",
+        "grid:4294967295x4294967295",
+        "full:0",
+        "line:1",
+        "heavyhex:0",
+        "heavyhex",
+        "ring:0",
+        "ring",
+        "greedy",
+        "sabre",
+        "entry module main(0 params, 1 ancilla) {}",
+        "",
+        "\u{0}",
+    ];
+
+    /// Random JSON values, biased toward request-shaped objects.
+    struct Json(u32);
+
+    impl Strategy for Json {
+        type Value = Value;
+        fn sample(&self, rng: &mut TestRng) -> Value {
+            let pick = |rng: &mut TestRng, n: usize| (rng.next_u64() % n as u64) as usize;
+            let leaves = if self.0 == 0 { 7 } else { 9 };
+            match pick(rng, leaves) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.next_u64() & 1 == 1),
+                2 => Value::UInt(rng.next_u64() >> pick(rng, 64)),
+                3 => Value::Int(-((rng.next_u64() >> 1) as i64)),
+                4 => Value::Float(f64::from_bits(rng.next_u64())),
+                5 | 6 => Value::String(WORDS[pick(rng, WORDS.len())].to_string()),
+                7 => Value::Seq(
+                    (0..pick(rng, 4))
+                        .map(|_| Json(self.0 - 1).sample(rng))
+                        .collect(),
+                ),
+                _ => Value::Map(
+                    (0..pick(rng, 6))
+                        .map(|_| {
+                            (
+                                KEYS[pick(rng, KEYS.len())].to_string(),
+                                Json(self.0 - 1).sample(rng),
+                            )
+                        })
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    /// Parses `line`; any rejection must be a typed [`ParseError`]
+    /// with a message (a panic fails the property on its own).
+    fn parse_cleanly(line: &str) {
+        if let Err(e) = Request::parse(line) {
+            assert!(!e.to_string().is_empty(), "{line:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn parse_never_panics_on_random_bytes(bytes in collection::vec(any::<u8>(), 0..96)) {
+            parse_cleanly(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn parse_never_panics_on_random_json(value in Json(3)) {
+            let text = serde_json::to_string(&value).expect("serializable");
+            parse_cleanly(&text);
+        }
+
+        #[test]
+        fn parse_never_panics_on_mutated_requests(
+            base in 0usize..4,
+            edits in collection::vec((any::<u8>(), any::<u16>(), any::<u8>()), 1..6),
+        ) {
+            let valid = [
+                r#"{"v": 1, "id": 3, "source": "x", "policy": "square,budget:8", "arch": "grid:4x4", "router": "sabre", "mbu": true}"#,
+                r#"{"id": "s", "cmd": "stats"}"#,
+                r#"{"source": "x", "policy": "lazy", "budget": 7, "arch": "heavyhex:3"}"#,
+                r#"{"v": 1, "cmd": "ping"}"#,
+            ];
+            let mut bytes = valid[base].as_bytes().to_vec();
+            for (op, at, byte) in edits {
+                let i = usize::from(at) % (bytes.len() + 1);
+                match op % 3 {
+                    0 => bytes.insert(i, byte),
+                    1 if i < bytes.len() => {
+                        bytes.remove(i);
+                    }
+                    _ if i < bytes.len() => bytes[i] = byte,
+                    _ => bytes.push(byte),
+                }
+            }
+            parse_cleanly(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
+    fn deeply_nested_json_is_rejected_not_overflowed() {
+        for open in ["[", "{\"v\":"] {
+            let line = open.repeat(1 << 20);
+            assert!(matches!(
+                Request::parse(&line),
+                Err(ParseError::Malformed(_))
+            ));
+        }
     }
 }

@@ -27,7 +27,7 @@ use std::time::Duration;
 use serde::Value;
 
 use crate::proto::{ErrorKind, Request, Response};
-use crate::service::{CompileService, ServiceError};
+use crate::service::{keep, lock, CompileService, ServiceError};
 
 /// Longest request line (newline excluded) a session buffers: 8 MiB,
 /// several times the JSON-escaped source of the largest catalog
@@ -73,7 +73,7 @@ impl WorkerPool {
                 thread::spawn(move || loop {
                     // Hold the lock only to dequeue, never while
                     // running the job.
-                    let job = match receiver.lock().unwrap().recv() {
+                    let job = match lock(&receiver, keep).recv() {
                         Ok(job) => job,
                         Err(_) => break,
                     };

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use serde::{Serialize, Value};
@@ -238,19 +238,29 @@ impl Drop for Leader<'_> {
         // panic again (that would abort the process). Publish before
         // unregistering, so a follower that grabbed the flight entry
         // just before removal still wakes with a result.
-        *self
-            .flight
-            .done
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(result);
+        *lock(&self.flight.done, keep) = Some(result);
         self.flight.cv.notify_all();
-        self.service
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(self.key);
+        lock(&self.service.inflight, keep).remove(self.key);
     }
 }
+
+/// Locks `mutex`, recovering it when a thread panicked while holding
+/// it: `repair` runs once on the recovered value and the poison flag
+/// is cleared. Without this, one panic under a lock would fail every
+/// later request that touches the same cache or counter. Caches pass
+/// [`LruCache::flush`], since their entries are derivable and may be
+/// half-written; counters and the in-flight table pass [`keep`].
+pub(crate) fn lock<T>(mutex: &Mutex<T>, repair: impl FnOnce(&mut T)) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        repair(&mut guard);
+        mutex.clear_poison();
+        guard
+    })
+}
+
+/// The [`lock`] repair for state that stays valid as it is.
+pub(crate) fn keep<T>(_: &mut T) {}
 
 /// The concurrent compile service: shared caches + in-flight dedupe
 /// around the square-core compile pipeline. Cheap to share as
@@ -346,7 +356,7 @@ impl CompileService {
             mbu: req.mbu,
         };
 
-        if let Some((report, compile_ms)) = self.reports.lock().unwrap().get(&key) {
+        if let Some((report, compile_ms)) = lock(&self.reports, LruCache::flush).get(&key) {
             return Ok(CompileOutcome {
                 report,
                 compile_ms,
@@ -357,7 +367,7 @@ impl CompileService {
         }
 
         let (flight, leader) = {
-            let mut inflight = self.inflight.lock().unwrap();
+            let mut inflight = lock(&self.inflight, keep);
             match inflight.get(&key) {
                 Some(flight) => (Arc::clone(flight), false),
                 None => {
@@ -373,9 +383,9 @@ impl CompileService {
 
         if !leader {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
-            let mut done = flight.done.lock().unwrap();
+            let mut done = lock(&flight.done, keep);
             while done.is_none() {
-                done = flight.cv.wait(done).unwrap();
+                done = flight.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
             }
             return match done.as_ref().unwrap() {
                 Ok((report, compile_ms)) => Ok(CompileOutcome {
@@ -398,9 +408,7 @@ impl CompileService {
         let result = self.compile_cell(req, &key);
         if let Ok((report, compile_ms)) = &result {
             self.compiles.fetch_add(1, Ordering::Relaxed);
-            self.reports
-                .lock()
-                .unwrap()
+            lock(&self.reports, LruCache::flush)
                 .insert(key.clone(), (Arc::clone(report), *compile_ms));
         }
         leader.result = Some(result.clone());
@@ -426,7 +434,7 @@ impl CompileService {
 
         // Each lookup binds through a `let` so the guard drops before
         // the miss path re-locks the same cache to insert.
-        let cached_program = self.programs.lock().unwrap().get(&key.hash);
+        let cached_program = lock(&self.programs, LruCache::flush).get(&key.hash);
         let program = match cached_program {
             Some(p) => p,
             None => {
@@ -435,25 +443,19 @@ impl CompileService {
                     ServiceError::Parse(square_lang::render(&req.source, &display, &diags))
                 })?;
                 let parsed = Arc::new(parsed);
-                self.programs
-                    .lock()
-                    .unwrap()
-                    .insert(key.hash.clone(), Arc::clone(&parsed));
+                lock(&self.programs, LruCache::flush).insert(key.hash.clone(), Arc::clone(&parsed));
                 parsed
             }
         };
 
-        let cached_prepared = self.prepared.lock().unwrap().get(&key.hash);
+        let cached_prepared = lock(&self.prepared, LruCache::flush).get(&key.hash);
         let prepared = match cached_prepared {
             Some(p) => p,
             None => {
                 let built = PreparedProgram::new(&program)
                     .map_err(|e| ServiceError::Compile(e.to_string()))?;
                 let built = Arc::new(built);
-                self.prepared
-                    .lock()
-                    .unwrap()
-                    .insert(key.hash.clone(), Arc::clone(&built));
+                lock(&self.prepared, LruCache::flush).insert(key.hash.clone(), Arc::clone(&built));
                 built
             }
         };
@@ -473,16 +475,13 @@ impl CompileService {
             0
         };
         let topo_key = (key.arch, capacity);
-        let cached_topo = self.topologies.lock().unwrap().get(&topo_key);
+        let cached_topo = lock(&self.topologies, LruCache::flush).get(&topo_key);
         let topo = match cached_topo {
             Some(t) => t,
             None => {
                 let built: Arc<dyn Topology> =
                     Arc::from(config.arch.build(prepared.capacity_hint()));
-                self.topologies
-                    .lock()
-                    .unwrap()
-                    .insert(topo_key, Arc::clone(&built));
+                lock(&self.topologies, LruCache::flush).insert(topo_key, Arc::clone(&built));
                 built
             }
         };
@@ -499,13 +498,13 @@ impl CompileService {
             other => ServiceError::Compile(other.to_string()),
         })?;
         {
-            let mut totals = self.cer_totals.lock().unwrap();
+            let mut totals = lock(&self.cer_totals, keep);
             totals.hits += report.cer_cache.hits;
             totals.misses += report.cer_cache.misses;
             totals.invalidations += report.cer_cache.invalidations;
         }
         {
-            let mut totals = self.recompute_totals.lock().unwrap();
+            let mut totals = lock(&self.recompute_totals, keep);
             totals.early_uncomputed_frames += report.recompute.early_uncomputed_frames;
             totals.early_uncompute_gates += report.recompute.early_uncompute_gates;
             totals.recomputed_frames += report.recompute.recomputed_frames;
@@ -520,21 +519,21 @@ impl CompileService {
     /// uses this to re-measure real compiles under steady-state
     /// prefix caches.
     pub fn flush_reports(&self) {
-        self.reports.lock().unwrap().flush();
+        lock(&self.reports, LruCache::flush).flush();
     }
 
     /// A snapshot of all cache and service counters.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
-            programs: self.programs.lock().unwrap().stats(),
-            prepared: self.prepared.lock().unwrap().stats(),
-            topologies: self.topologies.lock().unwrap().stats(),
-            reports: self.reports.lock().unwrap().stats(),
+            programs: lock(&self.programs, LruCache::flush).stats(),
+            prepared: lock(&self.prepared, LruCache::flush).stats(),
+            topologies: lock(&self.topologies, LruCache::flush).stats(),
+            reports: lock(&self.reports, LruCache::flush).stats(),
             requests: self.requests.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            cer_cache: *self.cer_totals.lock().unwrap(),
-            recompute: *self.recompute_totals.lock().unwrap(),
+            cer_cache: *lock(&self.cer_totals, keep),
+            recompute: *lock(&self.recompute_totals, keep),
         }
     }
 }
@@ -694,6 +693,50 @@ mod tests {
             },
             other => panic!("expected structured out-of-qubits, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_poisoned_report_cache_is_flushed_and_keeps_serving() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::{TcpListener, TcpStream};
+
+        let svc = Arc::new(CompileService::new(ServiceConfig::default()));
+        svc.compile_source(&request(SRC)).unwrap();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = svc.reports.lock();
+                    panic!("injected panic under the report-cache lock");
+                })
+                .join()
+                .is_err()
+        });
+        assert!(panicked && svc.reports.is_poisoned());
+
+        // The next compile recovers the lock, flushes the cache it may
+        // have left half-written, and compiles afresh.
+        let next = svc.compile_source(&request(SRC)).unwrap();
+        assert!(!next.cached, "the poisoned cache was flushed");
+        assert!(!svc.reports.is_poisoned());
+        assert_eq!(svc.stats().reports.entries, 1);
+
+        // `{"cmd":"stats"}` over the wire answers too.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server_svc = Arc::clone(&svc);
+        std::thread::spawn(move || {
+            crate::server::serve(listener, server_svc, crate::server::ServerConfig::default())
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(b"{\"cmd\":\"stats\",\"id\":1}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        let response: Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(
+            response.get("ok").and_then(Value::as_bool),
+            Some(true),
+            "{line}"
+        );
     }
 
     #[test]
